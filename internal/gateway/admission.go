@@ -40,9 +40,14 @@ type Backend interface {
 // tenantState is one tenant's admission bookkeeping.
 type tenantState struct {
 	inflight int         // jobs admitted to the backend, result pending
+	held     []tasks.Job // reserved, awaiting Commit; never dispatched
 	parked   []tasks.Job // bounded queue awaiting capacity
 	lastSeq  uint64      // dispatch recency, for fair tie-breaking
 }
+
+// queued is the work counted against the queue bound: parked jobs and
+// the held jobs of launches still being recorded.
+func (st *tenantState) queued() int { return len(st.held) + len(st.parked) }
 
 // Controller implements tasks.Admission with per-tenant in-flight caps,
 // bounded parked queues, and weighted fair dispatch: when capacity
@@ -50,7 +55,7 @@ type tenantState struct {
 // dispatches next, so a tenant flooding its queue cannot starve a
 // lighter one. It is installed on the broker/fleet submit path
 // (BrokerOptions.Admission / shard.Options.Admission) and fed parked
-// work through Reserve + Kick by the gateway's launch handler.
+// work through Reserve, Commit and Kick by the gateway's launch handler.
 type Controller struct {
 	// RetryAfter is the backoff hint attached to rejections (default 1s).
 	RetryAfter time.Duration
@@ -186,31 +191,48 @@ func (c *Controller) Release(j tasks.Job) {
 	go c.Kick()
 }
 
-// Reserve parks a launch's jobs behind the tenant's queue bound,
-// rejecting the whole launch when in-flight + parked + new would exceed
+// Reserve holds a launch's jobs behind the tenant's queue bound,
+// rejecting the whole launch when in-flight + queued + new would exceed
 // MaxInFlight + MaxQueued — a launch is admitted or refused atomically,
-// never half-queued. Call Kick afterwards (once the launch is recorded)
-// to start dispatching.
+// never half-queued. Held jobs count against the quota but no Kick
+// dispatches them, so a concurrent Kick cannot finish a job whose run
+// document is not yet written. Once the launch is recorded, Commit
+// them and Kick; if recording fails, CancelPrefix drops the hold.
 func (c *Controller) Reserve(tenant string, jobs []tasks.Job) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stateLocked(tenant)
 	q := c.quotaLocked(tenant)
-	if st.inflight+len(st.parked)+len(jobs) > q.MaxInFlight+q.MaxQueued {
+	if st.inflight+st.queued()+len(jobs) > q.MaxInFlight+q.MaxQueued {
 		gwRejected.With(tenant, "queue_full").Inc()
 		return &tasks.QuotaExceededError{
 			Tenant: tenant, Reason: "queue full",
 			Limit: q.MaxInFlight + q.MaxQueued, RetryAfter: c.RetryAfter,
 		}
 	}
-	st.parked = append(st.parked, jobs...)
+	st.held = append(st.held, jobs...)
 	c.publishLocked(tenant, st, q)
 	return nil
 }
 
-// CancelPrefix removes parked jobs whose IDs start with prefix and
-// returns them — the cancel path for a launch whose jobs have not yet
-// dispatched. In-flight jobs are not recalled; their results arrive and
+// Commit moves the held jobs whose IDs start with prefix to the back of
+// the tenant's parked queue, where the next Kick can dispatch them.
+func (c *Controller) Commit(tenant, prefix string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.state[tenant]
+	if !ok {
+		return
+	}
+	st.held = removePrefix(st.held, prefix, func(j tasks.Job) {
+		st.parked = append(st.parked, j)
+	})
+}
+
+// CancelPrefix removes held and parked jobs whose IDs start with prefix
+// and returns them — the cancel path for a launch whose jobs have not
+// yet dispatched, and the release of a hold whose launch could not be
+// recorded. In-flight jobs are not recalled; their results arrive and
 // release normally.
 func (c *Controller) CancelPrefix(tenant, prefix string) []tasks.Job {
 	c.mu.Lock()
@@ -220,17 +242,25 @@ func (c *Controller) CancelPrefix(tenant, prefix string) []tasks.Job {
 		return nil
 	}
 	var canceled []tasks.Job
-	kept := st.parked[:0]
-	for _, j := range st.parked {
+	drop := func(j tasks.Job) { canceled = append(canceled, j) }
+	st.held = removePrefix(st.held, prefix, drop)
+	st.parked = removePrefix(st.parked, prefix, drop)
+	c.publishLocked(tenant, st, c.quotaLocked(tenant))
+	return canceled
+}
+
+// removePrefix filters jobs in place, handing each one whose ID starts
+// with prefix to take, in order, and returning the rest.
+func removePrefix(jobs []tasks.Job, prefix string, take func(tasks.Job)) []tasks.Job {
+	kept := jobs[:0]
+	for _, j := range jobs {
 		if strings.HasPrefix(j.ID, prefix) {
-			canceled = append(canceled, j)
+			take(j)
 		} else {
 			kept = append(kept, j)
 		}
 	}
-	st.parked = kept
-	c.publishLocked(tenant, st, c.quotaLocked(tenant))
-	return canceled
+	return kept
 }
 
 // Kick dispatches parked jobs while capacity allows, always picking the
@@ -324,12 +354,13 @@ func (c *Controller) InFlight(tenant string) int {
 	return 0
 }
 
-// Queued reports a tenant's parked-queue depth.
+// Queued reports a tenant's queue depth: parked jobs plus those held
+// for launches still being recorded.
 func (c *Controller) Queued(tenant string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st, ok := c.state[tenant]; ok {
-		return len(st.parked)
+		return st.queued()
 	}
 	return 0
 }
@@ -338,6 +369,6 @@ func (c *Controller) Queued(tenant string) int {
 // depth, and the fair-share ratio the dispatcher balances on.
 func (c *Controller) publishLocked(tenant string, st *tenantState, q Quota) {
 	gwInFlight.With(tenant).Set(float64(st.inflight))
-	gwQueued.With(tenant).Set(float64(len(st.parked)))
+	gwQueued.With(tenant).Set(float64(st.queued()))
 	gwFairShare.With(tenant).Set(float64(st.inflight) / float64(q.Weight))
 }

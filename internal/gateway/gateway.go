@@ -147,8 +147,10 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, tenant *T
 		g.writeQuotaError(w, err)
 		return
 	}
-	// The reservation is held; record the launch before dispatching so
-	// results never race an unwritten run document.
+	// The reservation is held, invisible to every Kick; record the launch
+	// before committing it so results never race an unwritten run
+	// document.
+	prefix := jobPrefix(tenant.ID, launchID)
 	db := Namespace(g.store, tenant.ID)
 	now := time.Now().UTC().Format(time.RFC3339)
 	if _, err := db.Collection("launches").InsertOne(storage.Doc{
@@ -156,7 +158,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, tenant *T
 		"status": "running", "jobs": len(jobs), "done": 0, "failed": 0,
 		"canceled": 0, "created": now,
 	}); err != nil {
-		g.ctrl.CancelPrefix(tenant.ID, jobPrefix(tenant.ID, launchID))
+		g.ctrl.CancelPrefix(tenant.ID, prefix)
 		g.writeStoreError(w, err)
 		return
 	}
@@ -170,11 +172,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, tenant *T
 		}
 	}
 	if err := db.Collection("runs").InsertMany(runs); err != nil {
-		g.ctrl.CancelPrefix(tenant.ID, jobPrefix(tenant.ID, launchID))
+		g.ctrl.CancelPrefix(tenant.ID, prefix)
 		g.writeStoreError(w, err)
 		return
 	}
 	gwLaunches.With(tenant.ID).Inc()
+	g.ctrl.Commit(tenant.ID, prefix)
 	g.ctrl.Kick()
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"launch": launchID, "jobs": len(jobs), "status": "running",

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gem5art/internal/core/tasks"
 	"gem5art/internal/database"
+	"gem5art/internal/database/storage"
 )
 
 func testConfig(tenants ...TenantConfig) *Config {
@@ -480,6 +482,7 @@ func TestWeightedFairDispatch(t *testing.T) {
 		if err := ctrl.Reserve(tenant, jobs); err != nil {
 			t.Fatal(err)
 		}
+		ctrl.Commit(tenant, jobPrefix(tenant, "l0"))
 	}
 	park("heavy", 40)
 	park("light", 40)
@@ -543,6 +546,7 @@ func TestConcurrentTenantsAdmissionUnderRace(t *testing.T) {
 					t.Errorf("reserve %s/%d: %v", tn, i, err)
 					return
 				}
+				ctrl.Commit(tn, jobPrefix(tn, "l0"))
 				ctrl.Kick()
 			}
 		}(tn)
@@ -674,4 +678,121 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timeout waiting for %s", what)
+}
+
+// syncBackend completes every job inside TrySubmit, releasing before
+// delivering like the broker, so a dispatch finishes before the
+// dispatcher's caller regains control.
+type syncBackend struct {
+	adm       tasks.Admission
+	res       chan tasks.JobResult
+	completed atomic.Int64
+}
+
+func (b *syncBackend) TrySubmit(j tasks.Job) error {
+	if err := b.adm.Admit(j); err != nil {
+		return err
+	}
+	b.adm.Release(j)
+	b.completed.Add(1)
+	b.res <- tasks.JobResult{ID: j.ID, Output: json.RawMessage(`{"ok":true}`)}
+	return nil
+}
+
+func (b *syncBackend) Results() <-chan tasks.JobResult { return b.res }
+
+// kickingStore calls onLaunch right after a launch document is written,
+// between the launch and run inserts of a submit, and counts the result
+// pump's run updates.
+type kickingStore struct {
+	storage.Store
+	onLaunch   func()
+	runUpdates atomic.Int64
+}
+
+func (s *kickingStore) Collection(name string) storage.Collection {
+	c := s.Store.Collection(name)
+	switch {
+	case strings.HasSuffix(name, ".launches"):
+		return launchInsertHook{Collection: c, s: s}
+	case strings.HasSuffix(name, ".runs"):
+		return runUpdateCounter{Collection: c, s: s}
+	}
+	return c
+}
+
+type launchInsertHook struct {
+	storage.Collection
+	s *kickingStore
+}
+
+func (c launchInsertHook) InsertOne(d storage.Doc) (string, error) {
+	id, err := c.Collection.InsertOne(d)
+	if err == nil {
+		c.s.onLaunch()
+	}
+	return id, err
+}
+
+type runUpdateCounter struct {
+	storage.Collection
+	s *kickingStore
+}
+
+func (c runUpdateCounter) UpdateOne(filter, set storage.Doc) (bool, error) {
+	c.s.runUpdates.Add(1)
+	return c.Collection.UpdateOne(filter, set)
+}
+
+// TestReservedJobsWaitForRunDocuments is the Reserve-before-journal
+// race: a Kick that lands while a submit is still writing its launch
+// and run documents (from a Release or another tenant's submit) must
+// not dispatch the new launch's jobs. Otherwise their results reach the
+// pump before the run documents exist, match nothing, and the launch
+// stays "running" forever.
+func TestReservedJobsWaitForRunDocuments(t *testing.T) {
+	cfg := testConfig(TenantConfig{
+		ID: "alpha", Token: "tok-alpha",
+		Quota: &Quota{MaxInFlight: 4, MaxQueued: 4, Weight: 1},
+	})
+	db := database.MustOpen("")
+	t.Cleanup(func() { db.Close() })
+	ctrl := NewController(cfg)
+	backend := &syncBackend{adm: ctrl, res: make(chan tasks.JobResult, 64)}
+	store := &kickingStore{Store: db}
+	store.onLaunch = func() {
+		ctrl.Kick()
+		// Let the pump apply whatever that Kick completed before the
+		// submit goes on to write the run documents.
+		deadline := time.Now().Add(2 * time.Second)
+		for store.runUpdates.Load() < backend.completed.Load() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	g := New(cfg, ctrl, backend, store, nil)
+	srv := httptest.NewServer(g.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		close(backend.res)
+		g.Wait()
+	})
+
+	id, resp := submitLaunch(t, srv, "tok-alpha", 4)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("launch: status %d", resp.StatusCode)
+	}
+	waitFor(t, func() bool {
+		resp := apiReq(t, "GET", srv.URL+"/api/launches/"+id, "tok-alpha", nil)
+		return decodeBody(t, resp)["status"] == "finished"
+	}, "launch finished")
+	resp = apiReq(t, "GET", srv.URL+"/api/launches/"+id+"/runs", "tok-alpha", nil)
+	runs := decodeBody(t, resp)["runs"].([]any)
+	if len(runs) != 4 {
+		t.Fatalf("%d runs, want 4", len(runs))
+	}
+	for _, r := range runs {
+		if st := r.(map[string]any)["status"]; st != "done" {
+			t.Fatalf("run status %v, want done: %v", st, r)
+		}
+	}
 }

@@ -109,6 +109,10 @@ func (k *KernelDesc) Validate(cfg Config) error {
 		return fmt.Errorf("gpu: %s: one workgroup needs %d vregs, CU has %d",
 			k.Name, k.VRegsPerWave*k.WavesPerWG, cfg.VRegsPerCU)
 	}
+	if k.SRegsPerWave*k.WavesPerWG > cfg.SRegsPerCU {
+		return fmt.Errorf("gpu: %s: one workgroup needs %d sregs, CU has %d",
+			k.Name, k.SRegsPerWave*k.WavesPerWG, cfg.SRegsPerCU)
+	}
 	if k.LDSPerWG > cfg.LDSPerCU {
 		return fmt.Errorf("gpu: %s: LDS %d exceeds CU LDS %d", k.Name, k.LDSPerWG, cfg.LDSPerCU)
 	}
@@ -155,6 +159,7 @@ type Result struct {
 
 type wave struct {
 	wg       *workgroup
+	slot     int // cu*SIMDsPerCU + simd, indexing the per-SIMD state
 	simd     int
 	opsLeft  int
 	readyAt  uint64
@@ -167,7 +172,7 @@ type wave struct {
 type workgroup struct {
 	id        int
 	cu        int
-	waves     []*wave
+	waves     []wave
 	remaining int
 	barWait   int // waves currently parked at the barrier
 }
@@ -182,42 +187,143 @@ type cuState struct {
 	wgs       int    // resident workgroups
 }
 
+// waitEntry is a wave, by index into the run's wave slice, waiting in
+// the heap until its readyAt. Entries hold no pointers, so heap moves
+// cost the garbage collector nothing.
+type waitEntry struct {
+	at uint64
+	w  int32
+}
+
+// waitHeap is a binary min-heap of waitEntry keyed by at. It is typed
+// rather than built on container/heap: the interface calls cost more
+// than the heap work itself on this path.
+type waitHeap []waitEntry
+
+func (h *waitHeap) push(e waitEntry) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if q[p].at <= e.at {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+// pop removes the minimum; the heap must be non-empty.
+func (h *waitHeap) pop() waitEntry {
+	q := *h
+	top := q[0]
+	last := q[len(q)-1]
+	q = q[:len(q)-1]
+	n := len(q)
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].at < q[c].at {
+				c++
+			}
+			if last.at <= q[c].at {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// insertSorted adds w to an ascending list of wave indices.
+func insertSorted(l []int32, w int32) []int32 {
+	l = append(l, w)
+	i := len(l) - 1
+	for i > 0 && l[i-1] > w {
+		l[i] = l[i-1]
+		i--
+	}
+	l[i] = w
+	return l
+}
+
 // Run simulates one kernel launch under the given allocator and returns
 // timing and occupancy statistics. It is deterministic for a fixed
 // descriptor.
+//
+// The shader loop is event driven: after a cycle with no issue it jumps
+// to the next cycle where a wait ends or a busy SIMD frees, and within a
+// cycle it touches only the waves that issue. A resident wave is in
+// exactly one of four places:
+//   - the waiting heap, until its readyAt;
+//   - its SIMD's ready list;
+//   - parked at a barrier, in no structure until the release;
+//   - done.
+//
+// Waves are indexed in placement order (workgroups place in grid order,
+// each one's waves in order), and ready lists keep that order. At a
+// visited cycle the head of each ready list whose SIMD is free issues,
+// and the picks are processed in placement order. An issue holds its
+// SIMD until at least the next cycle, so at most one wave per SIMD
+// issues in a cycle, and placement order applies shared-state updates
+// (atomic lines, coalescer ports, finishes and the dispatches they
+// trigger) in the order a scan over all resident waves would.
 func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 	cfg.Defaults()
 	if err := k.Validate(cfg); err != nil {
 		return Result{}, err
 	}
 	res := Result{Kernel: k.Name, Allocator: alloc}
+	nSIMD := cfg.CUs * cfg.SIMDsPerCU
 
-	cus := make([]*cuState, cfg.CUs)
+	cus := make([]cuState, cfg.CUs)
+	perSIMD := make([]int, nSIMD)
 	for i := range cus {
-		cus[i] = &cuState{
+		cus[i] = cuState{
 			freeVRegs: cfg.VRegsPerCU,
 			freeSRegs: cfg.SRegsPerCU,
 			freeLDS:   cfg.LDSPerCU,
-			perSIMD:   make([]int, cfg.SIMDsPerCU),
+			perSIMD:   perSIMD[i*cfg.SIMDsPerCU : (i+1)*cfg.SIMDsPerCU],
 		}
 	}
 
-	pending := make([]*workgroup, 0, k.WGs)
-	for i := 0; i < k.WGs; i++ {
-		wg := &workgroup{id: i, remaining: k.WavesPerWG}
-		for w := 0; w < k.WavesPerWG; w++ {
-			wg.waves = append(wg.waves, &wave{
+	wgs := make([]workgroup, k.WGs)
+	waves := make([]wave, k.WGs*k.WavesPerWG)
+	for i := range wgs {
+		wg := &wgs[i]
+		*wg = workgroup{id: i, remaining: k.WavesPerWG,
+			waves: waves[i*k.WavesPerWG : (i+1)*k.WavesPerWG]}
+		for w := range wg.waves {
+			wg.waves[w] = wave{
 				wg:       wg,
 				opsLeft:  k.OpsPerWave,
-				rng:      rand.New(rand.NewSource(k.Seed + int64(i)*1000 + int64(w))),
 				barriers: k.Barriers,
-			})
+			}
 		}
-		pending = append(pending, wg)
 	}
+	pending := wgs // not yet placed, in grid order
 
-	var active []*wave
-	var cycleNow uint64 // shared with the closures below
+	var (
+		cycle    uint64
+		live     int      // placed, unfinished waves
+		resident int      // sum of cus[*].resident
+		waiting  waitHeap // readyAt in the future
+		ready    = make([][]int32, nSIMD)
+		simdBusy = make([]uint64, nSIMD) // busy-until cycle per SIMD
+		spare    []*rand.Rand            // generators of finished waves
+	)
+	for s := range ready {
+		ready[s] = make([]int32, 0, cfg.MaxWavesPerSIMD)
+	}
 	atomicChannels := k.AtomicChannels
 	if atomicChannels < 1 {
 		atomicChannels = 1
@@ -242,19 +348,22 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		return slots >= k.WavesPerWG
 	}
 
+	// place makes a workgroup resident. Its waves start in the heap, so a
+	// wave placed during a cycle first competes at the next visited one.
 	place := func(cuIdx int, wg *workgroup) {
-		cu := cus[cuIdx]
+		cu := &cus[cuIdx]
 		cu.freeVRegs -= k.VRegsPerWave * k.WavesPerWG
 		cu.freeSRegs -= k.SRegsPerWave * k.WavesPerWG
 		cu.freeLDS -= k.LDSPerWG
 		cu.wgs++
 		wg.cu = cuIdx
-		for _, w := range wg.waves {
+		for i := range wg.waves {
+			w := &wg.waves[i]
 			// The dynamic allocator's per-launch register scan delays the
 			// workgroup's waves; the simple allocator's fixed mapping is
 			// free.
-			if alloc == Dynamic && cycleNow+dynDispatch > w.readyAt {
-				w.readyAt = cycleNow + dynDispatch
+			if alloc == Dynamic && cycle+dynDispatch > w.readyAt {
+				w.readyAt = cycle + dynDispatch
 			}
 			// Least-loaded SIMD, matching the simple policy's one-wave-
 			// per-SIMD layout when the CU is empty.
@@ -265,9 +374,23 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				}
 			}
 			w.simd = best
+			w.slot = cuIdx*cfg.SIMDsPerCU + best
+			// Each wave draws from its own stream, seeded by its grid
+			// position. Reseeding a finished wave's generator yields the
+			// same stream as a fresh one without allocating it.
+			seed := k.Seed + int64(wg.id)*1000 + int64(i)
+			if n := len(spare); n > 0 {
+				w.rng = spare[n-1]
+				spare = spare[:n-1]
+				w.rng.Seed(seed)
+			} else {
+				w.rng = rand.New(rand.NewSource(seed))
+			}
 			cu.perSIMD[best]++
 			cu.resident++
-			active = append(active, w)
+			resident++
+			live++
+			waiting.push(waitEntry{w.readyAt, int32(wg.id*k.WavesPerWG + i)})
 		}
 	}
 
@@ -278,8 +401,8 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				if len(pending) == 0 {
 					break
 				}
-				if canPlace(cus[cuIdx]) {
-					place(cuIdx, pending[0])
+				if canPlace(&cus[cuIdx]) {
+					place(cuIdx, &pending[0])
 					pending = pending[1:]
 					placed = true
 				}
@@ -290,13 +413,21 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		}
 	}
 	dispatch()
+	if live == 0 {
+		return Result{}, fmt.Errorf("gpu: %s: dispatch wedged with %d pending WGs",
+			k.Name, len(pending))
+	}
 
 	finish := func(w *wave) {
 		w.done = true
+		spare = append(spare, w.rng)
+		w.rng = nil
 		wg := w.wg
-		cu := cus[wg.cu]
+		cu := &cus[wg.cu]
 		cu.perSIMD[w.simd]--
 		cu.resident--
+		resident--
+		live--
 		wg.remaining--
 		if wg.remaining == 0 {
 			cu.freeVRegs += k.VRegsPerWave * k.WavesPerWG
@@ -307,70 +438,73 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		}
 	}
 
-	var cycle uint64
-	var occupancySamples, occupancySum uint64
-	simdBusy := make(map[[2]int]uint64) // (cu, simd) -> busy-until cycle
+	// wake requeues a wave during an issuing cycle. A cycle that issues
+	// is always followed by the next one, so a wave ready by then joins
+	// its ready list directly instead of passing through the heap.
+	wake := func(wi int32) {
+		w := &waves[wi]
+		if w.readyAt <= cycle+1 {
+			ready[w.slot] = insertSorted(ready[w.slot], wi)
+		} else {
+			waiting.push(waitEntry{w.readyAt, wi})
+		}
+	}
 
-	for {
-		// Prune finished waves.
-		live := active[:0]
-		for _, w := range active {
-			if !w.done {
-				live = append(live, w)
-			}
-		}
-		active = live
-		if len(active) == 0 {
-			if len(pending) > 0 {
-				dispatch()
-				if len(active) == 0 {
-					return Result{}, fmt.Errorf("gpu: %s: dispatch wedged with %d pending WGs",
-						k.Name, len(pending))
-				}
-				continue
-			}
-			break
-		}
+	var occupancySamples, occupancySum uint64
+	picks := make([]int32, 0, nSIMD)
+
+	for live > 0 {
 		if cycle > maxCycleSafe {
 			return Result{}, fmt.Errorf("gpu: %s: exceeded cycle safety limit", k.Name)
 		}
-
-		cycleNow = cycle
 		// Sample occupancy every 64 cycles.
 		if cycle%64 == 0 {
-			total := 0
-			for _, cu := range cus {
-				total += cu.resident
-			}
-			occupancySum += uint64(total)
+			occupancySum += uint64(resident)
 			occupancySamples++
 		}
 
-		progressed := false
-		nextReady := ^uint64(0)
-		for _, w := range active {
-			if w.atBar {
+		// Waves whose wait has elapsed join their SIMD's ready list.
+		for len(waiting) > 0 && waiting[0].at <= cycle {
+			i := waiting.pop().w
+			s := waves[i].slot
+			ready[s] = insertSorted(ready[s], i)
+		}
+
+		// Each free SIMD issues from the head of its ready list; a busy
+		// one bounds the next wake-up.
+		picks = picks[:0]
+		nextBusy := ^uint64(0)
+		for s, l := range ready {
+			if len(l) == 0 {
 				continue
 			}
-			if w.readyAt > cycle {
-				if w.readyAt < nextReady {
-					nextReady = w.readyAt
-				}
+			if simdBusy[s] > cycle {
+				nextBusy = min(nextBusy, simdBusy[s])
 				continue
 			}
-			key := [2]int{w.wg.cu, w.simd}
-			if simdBusy[key] > cycle {
-				if simdBusy[key] < nextReady {
-					nextReady = simdBusy[key]
-				}
-				continue
+			picks = insertSorted(picks, l[0])
+			copy(l, l[1:])
+			ready[s] = l[:len(l)-1]
+		}
+
+		if len(picks) == 0 {
+			// Nothing issued: jump to the next wake-up. With none left
+			// (every live wave parked for good) the jump overshoots the
+			// safety limit.
+			cycle = nextBusy
+			if len(waiting) > 0 {
+				cycle = min(cycle, waiting[0].at)
 			}
+			continue
+		}
+
+		for _, wi := range picks {
+			w := &waves[wi]
 			// Issue one op from this wave.
-			simdBusy[key] = cycle + 1
-			progressed = true
+			simdBusy[w.slot] = cycle + 1
 			res.Ops++
 			w.opsLeft--
-			cu := cus[w.wg.cu]
+			cu := &cus[w.wg.cu]
 			r := w.rng.Float64()
 			switch {
 			case r < k.AtomicFrac:
@@ -378,10 +512,6 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				// each one costs more as more waves fight for the line
 				// (retries and cache-line ping-pong): three extra cycles
 				// per four co-resident waves.
-				resident := 0
-				for _, c := range cus {
-					resident += c.resident
-				}
 				ch := 0
 				if atomicChannels > 1 {
 					ch = w.wg.id % atomicChannels
@@ -414,7 +544,7 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 					if !cfg.PreciseDeps {
 						issue = depIssueCycles(cu.perSIMD[w.simd])
 					}
-					simdBusy[key] = cycle + issue
+					simdBusy[w.slot] = cycle + issue
 					res.DepStalls += issue - 1
 					w.readyAt = cycle + valuPipe
 				} else {
@@ -428,36 +558,37 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				w.atBar = true
 				w.wg.barWait++
 				if w.wg.barWait == len(w.wg.waves) {
-					for _, ww := range w.wg.waves {
-						if !ww.done {
-							ww.atBar = false
-							if ww.readyAt < cycle+1 {
-								ww.readyAt = cycle + 1
-							}
+					// Every wave is parked here; release them all. The
+					// issuing wave is requeued below like any other.
+					w.atBar = false
+					base := w.wg.id * k.WavesPerWG
+					for i := range w.wg.waves {
+						ww := &w.wg.waves[i]
+						if ww == w || ww.done {
+							continue
 						}
+						ww.atBar = false
+						if ww.readyAt < cycle+1 {
+							ww.readyAt = cycle + 1
+						}
+						wake(int32(base + i))
 					}
 					w.wg.barWait = 0
 				}
 			}
-			if w.opsLeft <= 0 {
+			switch {
+			case w.opsLeft <= 0:
 				if w.atBar {
 					// A wave finishing at a barrier releases it.
 					w.wg.barWait--
 					w.atBar = false
 				}
 				finish(w)
+			case !w.atBar:
+				wake(wi)
 			}
 		}
-		if progressed {
-			cycle++
-			continue
-		}
-		// Nothing issued: jump to the next wake-up.
-		if nextReady == ^uint64(0) || nextReady <= cycle {
-			cycle++
-		} else {
-			cycle = nextReady
-		}
+		cycle++
 	}
 
 	res.Cycles = cycle

@@ -35,7 +35,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cycles != b.Cycles || a.Ops != b.Ops || a.MemAccesses != b.MemAccesses {
+	if a != b {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
